@@ -13,12 +13,17 @@ schedule: the base ``rate`` compresses/stretches the Poisson gaps, and
 (a flash crowd is the same request sequence arriving faster, not a
 different sequence).  :class:`~repro.service.config.LossPhase` windows
 inject client-side uplink loss: an attempt in a lossy window is dropped
-before it reaches the wire and retried like any transport failure.
+before it reaches the wire and retried like any transport failure.  An
+attempt's window is looked up at its scheduled time (send offset plus
+scheduled backoff sleeps), never the wall clock, and its loss draw is
+fixed per (plan entry, attempt), so which attempts are lost is a
+function of the seed alone.
 
 Retries use capped full-jitter exponential backoff — sleep drawn
-uniformly from ``[0, min(cap, base·2^attempt)]`` by a dedicated
-``SeedSequence``-spawned generator (RL003: no unseeded randomness) —
-and honour the server's Retry-After hint as a floor.
+uniformly from ``[0, min(cap, base·2^attempt)]`` with one draw per
+(plan entry, attempt) from a dedicated ``SeedSequence``-spawned
+generator (RL003: no unseeded randomness) — and honour the server's
+Retry-After hint as a floor.
 """
 
 from __future__ import annotations
@@ -183,39 +188,59 @@ class _Session:
     """Shared state of one load-gen run (workers mutate the report)."""
 
     def __init__(
-        self, host: str, port: int, config: LoadGenConfig, report: LoadGenReport
+        self,
+        host: str,
+        port: int,
+        config: LoadGenConfig,
+        report: LoadGenReport,
+        planned: int,
     ) -> None:
         self.host = host
         self.port = port
         self.config = config
         self.report = report
         _arrival, loss_seq, jitter_seq = np.random.SeedSequence(config.seed).spawn(3)
-        self.loss_rng = np.random.default_rng(loss_seq)
-        self.jitter_rng = np.random.default_rng(jitter_seq)
+        # One uniform per (plan index, attempt), drawn up front: whether an
+        # attempt is lost and how long its retry sleeps depend on the seed
+        # alone, not on the order in which concurrent attempts happen to run.
+        shape = (planned, config.max_retries + 1)
+        self.loss_draws = np.random.default_rng(loss_seq).random(shape).tolist()
+        self.jitter_draws = np.random.default_rng(jitter_seq).random(shape).tolist()
         self.semaphore = asyncio.Semaphore(config.concurrency)
         self.started = asyncio.get_running_loop().time()
 
     def elapsed(self) -> float:
         return asyncio.get_running_loop().time() - self.started
 
-    def backoff(self, attempt: int, hint: Optional[float]) -> float:
-        """Full-jitter sleep for retry ``attempt``, floored by the hint."""
+    def backoff(self, index: int, attempt: int, hint: Optional[float]) -> float:
+        """Full-jitter sleep for retry ``attempt`` of plan entry ``index``.
+
+        Floored by the server's Retry-After ``hint``, if any.
+        """
         cap = self.config.backoff_cap
         window = min(cap, self.config.backoff_base * (2.0**attempt))
-        sleep = float(self.jitter_rng.uniform(0.0, window))
+        sleep = window * self.jitter_draws[index][attempt]
         if hint is not None:
             sleep = max(sleep, min(hint, cap))
         return sleep
 
-    async def fire(self, request: Request) -> None:
-        """Drive one plan entry to a verdict (retries included)."""
+    async def fire(self, index: int, request: Request, offset: float) -> None:
+        """Drive plan entry ``index`` to a verdict (retries included).
+
+        Loss phases are looked up at the attempt's *scheduled* time — the
+        entry's send ``offset`` plus the backoff sleeps scheduled before
+        it — never at the wall clock, so a host stall cannot move an
+        attempt out of (or into) a loss window.
+        """
         report = self.report
+        losses = self.loss_draws[index]
+        scheduled = offset
         first_attempt = self.elapsed()
         async with self.semaphore:
             for attempt in range(self.config.max_retries + 1):
                 hint: Optional[float] = None
                 report.attempts += 1
-                if float(self.loss_rng.random()) < self.config.loss_at(self.elapsed()):
+                if losses[attempt] < self.config.loss_at(scheduled):
                     report.uplink_lost += 1
                 else:
                     try:
@@ -256,7 +281,9 @@ class _Session:
                     report.record("gave_up", request.class_rank)
                     return
                 report.retries += 1
-                await asyncio.sleep(self.backoff(attempt, hint))
+                sleep = self.backoff(index, attempt, hint)
+                scheduled += sleep
+                await asyncio.sleep(sleep)
 
 
 async def run_loadgen(
@@ -270,13 +297,13 @@ async def run_loadgen(
     plan = build_plan(hybrid, config)
     offsets = schedule_wall_times(plan, hybrid.arrival_rate, config)
     report = LoadGenReport(planned=len(plan), histogram=plan_histogram(plan))
-    session = _Session(host, port, config, report)
+    session = _Session(host, port, config, report, len(plan))
     tasks: list[asyncio.Task] = []
-    for request, offset in zip(plan, offsets):
+    for index, (request, offset) in enumerate(zip(plan, offsets)):
         delay = offset - session.elapsed()
         if delay > 0:
             await asyncio.sleep(delay)
-        tasks.append(asyncio.create_task(session.fire(request)))
+        tasks.append(asyncio.create_task(session.fire(index, request, offset)))
     if tasks:
         await asyncio.gather(*tasks)
     return report

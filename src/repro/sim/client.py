@@ -19,17 +19,19 @@ queue.
 from __future__ import annotations
 
 import math
+from typing import Iterable
 
 from ..core.faults import FaultConfig
 from ..des import Environment, RandomStreams
+from ..des.events import NORMAL, URGENT, Event
 from ..obs.events import RequestRetried
-from ..workload.arrivals import ArrivalProcess, Request
+from ..workload.arrivals import Request
 from ..workload.trace import RequestTrace
 from .metrics import MetricsCollector
 from .server import HybridServer  # noqa: F401 - canonical submit target
 from .uplink import UplinkChannel
 
-__all__ = ["FaultAwareFront", "drive_arrivals", "drive_trace"]
+__all__ = ["ArrivalDriver", "FaultAwareFront", "drive_arrivals", "drive_trace"]
 
 
 class FaultAwareFront:
@@ -172,39 +174,70 @@ class FaultAwareFront:
         # else: already terminal (abandoned at the uplink) — nothing to do.
 
 
-def drive_arrivals(env: Environment, server, arrivals: ArrivalProcess):
-    """DES process: submit requests from a live Poisson arrival stream.
+class ArrivalDriver:
+    """Submit a time-ordered request stream through one reused calendar event.
+
+    Per arrival the calendar holds one record: the driver's own
+    :class:`~repro.des.events.Event`, rescheduled at the next request's
+    time.  Its callback submits the due request, draws the next one and
+    reschedules itself — no generator process and no ``Timeout`` object
+    per arrival.  The driver starts through an ``URGENT`` event scheduled
+    at construction, the point and priority at which a generator process
+    initialises, so the calendar's sequence numbers advance as for one
+    (one initialisation, then one ``schedule`` per arrival) and
+    same-time events keep their order.
+
+    Requests due at or before the current time are submitted immediately.
+    A finite stream (a trace) simply stops rescheduling when exhausted.
+    """
+
+    __slots__ = ("_env", "_submit", "_stream", "_event", "_callbacks", "_due")
+
+    def __init__(self, env: Environment, server, requests: Iterable[Request]) -> None:
+        self._env = env
+        self._submit = server.submit
+        self._stream = iter(requests)
+        self._due: Request | None = None
+        self._callbacks = [self._fire]
+        event = self._event = Event(env)
+        event._ok = True
+        event._value = None
+        event.callbacks = [self._advance]
+        env.schedule(event, priority=URGENT)
+
+    def _fire(self, event: Event) -> None:
+        self._submit(self._due)
+        self._advance(event)
+
+    def _advance(self, _event: Event) -> None:
+        """Submit every request already due, then schedule the next one."""
+        env = self._env
+        for request in self._stream:
+            delay = request.time - env.now
+            if delay > 0:
+                self._due = request
+                event = self._event
+                event.callbacks = self._callbacks
+                env.schedule(event, NORMAL, delay)
+                return
+            self._submit(request)
+
+
+def drive_arrivals(env: Environment, server, arrivals: Iterable[Request]) -> ArrivalDriver:
+    """Submit requests from a live (infinite) arrival stream.
 
     ``server`` is anything with a ``submit(request)`` method — the
     HybridServer directly or an uplink front-end.
 
     Runs forever; bound the simulation with ``env.run(until=horizon)``.
     """
-
-    def _proc():
-        stream = iter(arrivals)
-        while True:
-            request = next(stream)
-            delay = request.time - env.now
-            if delay > 0:
-                yield env.timeout(delay)
-            server.submit(request)
-
-    return env.process(_proc())
+    return ArrivalDriver(env, server, arrivals)
 
 
-def drive_trace(env: Environment, server, trace: RequestTrace):
-    """DES process: replay a pre-generated request trace into the server.
+def drive_trace(env: Environment, server, trace: RequestTrace) -> ArrivalDriver:
+    """Replay a pre-generated request trace into the server.
 
     Useful for paired comparisons — the same randomness against every
     scheduler (common random numbers variance reduction).
     """
-
-    def _proc():
-        for request in trace.iter_requests():
-            delay = request.time - env.now
-            if delay > 0:
-                yield env.timeout(delay)
-            server.submit(request)
-
-    return env.process(_proc())
+    return ArrivalDriver(env, server, trace.iter_requests())

@@ -26,8 +26,9 @@ Differences from the reference server, by design:
   reference server's internals; use ``engine="reference"`` to record
   traces.
 
-:class:`FastArrivalDriver` replaces the ``drive_arrivals`` generator with
-one flat calendar record per arrival, fed by pre-generated chunks from
+:class:`FastArrivalDriver` submits arrivals through one flat calendar
+record each (no ``Event`` object, unlike ``drive_arrivals``), fed by
+pre-generated chunks from
 :class:`~repro.workload.batched.BatchedArrivals`.
 """
 

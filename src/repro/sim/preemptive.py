@@ -92,8 +92,7 @@ class PreemptiveHybridServer(HybridServer):
             return
         self._in_service = None
         self._in_flight_requests -= entry.num_requests
-        for request in entry.requests:
-            self.metrics.record_satisfied(request, self.env.now, via_push=False)
+        self.metrics.record_satisfied_many(entry.requests, self.env.now, via_push=False)
         self.pull_scheduler.observe_service(entry, self.env.now)
         self.pool.release(rank, demand)
         self.metrics.record_pull_service()

@@ -362,7 +362,6 @@ class HybridServer:
             still_waiting: list[Request] = []
             for request in waiters:
                 if request.time <= started:
-                    self.metrics.record_satisfied(request, self.env.now, via_push=True)
                     satisfied.append(request)
                 else:
                     still_waiting.append(request)
@@ -370,6 +369,8 @@ class HybridServer:
                 self._push_waiters[item_id] = still_waiting
             else:
                 del self._push_waiters[item_id]
+            if satisfied:
+                self.metrics.record_satisfied_many(satisfied, self.env.now, via_push=True)
         if self.tracer is not None:
             rids = tuple(self.tracer.rid(request) for request in satisfied)
             self.tracer.emit(
@@ -514,9 +515,9 @@ class HybridServer:
                     corrupted=False,
                 )
             )
-        for request in entry.requests:
-            self.metrics.record_satisfied(request, self.env.now, via_push=False)
-            if self.tracer is not None:
+        self.metrics.record_satisfied_many(entry.requests, self.env.now, via_push=False)
+        if self.tracer is not None:
+            for request in entry.requests:
                 self.tracer.emit(
                     RequestSatisfied(
                         time=self.env.now,

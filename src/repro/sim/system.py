@@ -287,7 +287,7 @@ class HybridSystem:
                 # PopulationArrivals also speaks Request chunks.
                 self.driver = FastArrivalDriver(self.env, front, aggregated)
         else:
-            # Custom arrival sources stay on the generator driver — they
+            # Custom arrival sources use the per-arrival callback driver — they
             # run unchanged on either engine, just without vectorisation.
             if arrivals is None:
                 arrivals = ArrivalProcess(

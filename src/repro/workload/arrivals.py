@@ -10,6 +10,7 @@ on (``λ_i = λ · p_i · q_j`` discussion in §4.2).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -100,29 +101,38 @@ class ArrivalProcess:
 
     # -- lazy stream (for the DES) ------------------------------------------
     def __iter__(self) -> Iterator[Request]:
-        """Infinite lazy stream of requests in time order."""
+        """Infinite lazy stream of requests in time order.
+
+        Per arrival: one exponential gap, one uniform for the item and one
+        client draw (an integer, or a uniform under priority weighting), in
+        that order.  The CDFs are searched as Python lists:
+        ``bisect_right`` returns the index ``np.searchsorted(side="right")``
+        would on the same float64 values, without a numpy call per draw.
+        """
+        exponential = self.rng.exponential
+        uniform = self.rng.random
+        integers = self.rng.integers
+        scale = 1.0 / self.rate
+        item_cdf = self._item_cdf.tolist()
+        last_item = len(self.catalog) - 1
+        num_clients = self._num_clients
+        last_client = num_clients - 1
+        client_cdf = None if self._client_cdf is None else self._client_cdf.tolist()
+        class_rank = self._client_class_rank.tolist()
+        priority = self._client_priority.tolist()
         t = 0.0
         while True:
-            t += float(self.rng.exponential(1.0 / self.rate))
-            yield self._draw(t)
-
-    def _draw_client(self) -> int:
-        if self._client_cdf is None:
-            return int(self.rng.integers(0, self._num_clients))
-        idx = int(np.searchsorted(self._client_cdf, self.rng.random(), side="right"))
-        return min(idx, self._num_clients - 1)
-
-    def _draw(self, t: float) -> Request:
-        idx = int(np.searchsorted(self._item_cdf, self.rng.random(), side="right"))
-        item_id = min(idx, len(self.catalog) - 1)
-        client_id = self._draw_client()
-        return Request(
-            time=t,
-            item_id=item_id,
-            client_id=client_id,
-            class_rank=int(self._client_class_rank[client_id]),
-            priority=float(self._client_priority[client_id]),
-        )
+            t += exponential(scale)
+            item_id = bisect_right(item_cdf, uniform())
+            if item_id > last_item:
+                item_id = last_item
+            if client_cdf is None:
+                client_id = int(integers(0, num_clients))
+            else:
+                client_id = bisect_right(client_cdf, uniform())
+                if client_id > last_client:
+                    client_id = last_client
+            yield Request(t, item_id, client_id, class_rank[client_id], priority[client_id])
 
     # -- bulk generation (vectorised, for analysis & traces) ------------------
     def generate(self, horizon: float) -> list[Request]:

@@ -9,6 +9,7 @@ phase boundaries.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -110,29 +111,34 @@ class PhasedArrivalProcess:
         return self.phases[-1]  # pragma: no cover - float edge
 
     def __iter__(self) -> Iterator[Request]:
-        """Infinite time-ordered request stream across phases."""
+        """Infinite time-ordered request stream across phases.
+
+        Same draw order and list-CDF search as
+        :meth:`ArrivalProcess.__iter__ <repro.workload.arrivals.ArrivalProcess.__iter__>`;
+        a phase's CDF is built once, when the phase is entered.
+        """
+        exponential = self.rng.exponential
+        uniform = self.rng.random
+        integers = self.rng.integers
+        last_item = len(self.catalog) - 1
+        num_clients = self._num_clients
+        class_rank = self._client_class_rank.tolist()
+        priority = self._client_priority.tolist()
         t = 0.0
         phase_index = 0
         phase_end = self.phases[0].duration
-        cdf = np.cumsum(self.phase_probabilities(self.phases[0]))
-        rate = self.phases[0].rate or self.default_rate
+        cdf = np.cumsum(self.phase_probabilities(self.phases[0])).tolist()
+        scale = 1.0 / (self.phases[0].rate or self.default_rate)
         while True:
-            t += float(self.rng.exponential(1.0 / rate))
+            t += exponential(scale)
             while t >= phase_end:
                 phase_index = (phase_index + 1) % len(self.phases)
                 phase = self.phases[phase_index]
                 phase_end += phase.duration
-                cdf = np.cumsum(self.phase_probabilities(phase))
-                rate = phase.rate or self.default_rate
-            item_id = min(
-                int(np.searchsorted(cdf, self.rng.random(), side="right")),
-                len(self.catalog) - 1,
-            )
-            client_id = int(self.rng.integers(0, self._num_clients))
-            yield Request(
-                time=t,
-                item_id=item_id,
-                client_id=client_id,
-                class_rank=int(self._client_class_rank[client_id]),
-                priority=float(self._client_priority[client_id]),
-            )
+                cdf = np.cumsum(self.phase_probabilities(phase)).tolist()
+                scale = 1.0 / (phase.rate or self.default_rate)
+            item_id = bisect_right(cdf, uniform())
+            if item_id > last_item:
+                item_id = last_item
+            client_id = int(integers(0, num_clients))
+            yield Request(t, item_id, client_id, class_rank[client_id], priority[client_id])
